@@ -21,13 +21,7 @@ from .engine import (
     run_over_channels,
 )
 from .errors import MpcError
-from .numeric import (
-    MaskSource,
-    RandomnessPolicy,
-    TolerancePolicy,
-    draw_additive_mask,
-    draw_multiplicative_mask,
-)
+from .numeric import MaskSource, RandomnessPolicy, TolerancePolicy
 from .oracle import eval_plain
 from .program import ProtocolProgram, Plan, load_program, parse_program, plan
 from .protocols import ComparisonOutcome, Value
@@ -42,7 +36,7 @@ from .sharing import (
     stage_inputs,
     write_share_file,
 )
-from .transport import SessionTranscript, account, make_inproc_pair
+from .transport import SessionTranscript, make_inproc_pair
 
 __all__ = [
     "AdditiveSharing",
@@ -63,9 +57,6 @@ __all__ = [
     "TolerancePolicy",
     "TripleStore",
     "Value",
-    "account",
-    "draw_additive_mask",
-    "draw_multiplicative_mask",
     "eval_plain",
     "execute",
     "generate_triples",

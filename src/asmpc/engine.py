@@ -1,12 +1,15 @@
 """Two-party execution runtime.
 
-`party_stepper` turns a scheduled program into a stream of step batches
-for one party: every node's script is advanced at its planned steps and
-the frames of all scripts active in a step are merged into one batch.
-Three drivers consume the stream: a lockstep driver that runs both
-parties in one call (tests, bulk checks), a channel driver for real
-inproc/tcp sessions, and a threaded wrapper that runs both channel ends
-in one process.
+`_party` is everything one party does in a session, written without I/O:
+it exchanges and checks the session hello, schedules the plan's nodes
+through `protocols.parallel` (each node starts at its planned step, and
+independent nodes share steps), checks and logs every frame, and runs
+the reveal exchange.  It yields (frames to send, number of frames to
+receive) and is sent the frames received.  Two drivers pump it: `execute`
+over a channel, one `send` or `recv` per frame, and `run_local`, which
+pumps both parties' cores in lockstep inside one call (tests, bulk
+checks).  `run_over_channels` runs both ends of a channel pair on
+threads.
 
 All online randomness is pre-staged (input shares and dealer triples),
 so a fixed staging yields bit-identical transcripts on every run.
@@ -17,14 +20,13 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .dealer import TripleStore
-from .errors import MpcError, PlanError, ProtocolDesync
+from .errors import MpcError, PlanError, ProtocolDesync, error_by_name
 from .numeric import TolerancePolicy
 from .program import Plan
-from .protocols import KIND_PUBLIC, OP_SPECS, Value
+from .protocols import KIND_PUBLIC, OP_SPECS, Step, Value, parallel
 from .sharing import KIND_ADDITIVE, KIND_MULTIPLICATIVE
 from .transport import (
     Channel,
@@ -34,9 +36,6 @@ from .transport import (
     Tag,
     encode_payload,
 )
-
-StepBatch = namedtuple("StepBatch", "step sends expects")
-# sends: [(node, tag, value)], expects: [(node, tag)]
 
 
 @dataclass
@@ -55,216 +54,46 @@ def inputs_from_records(records, party: int) -> dict[str, Value]:
     return env
 
 
-@dataclass
-class _Task:
-    pn: object
-    gen: object
-    started: bool = False
-    inbox: tuple = ()
-    done: bool = False
+def _open(mine: Value, theirs: float | None) -> float:
+    """A revealed value from this party's share and the peer's."""
+    if mine.kind == KIND_PUBLIC:
+        return mine.value
+    if mine.kind == KIND_ADDITIVE:
+        return mine.value + theirs
+    if mine.kind == KIND_MULTIPLICATIVE:
+        return mine.value * theirs
+    raise ProtocolDesync(f"cannot combine kind {mine.kind}")
 
 
-def _run_to_completion(gen):
-    try:
-        next(gen)
-    except StopIteration as fin:
-        return fin.value
-    raise ProtocolDesync("local-only node attempted to communicate")
+# --- the session core --------------------------------------------------------
 
+def _node(pn, party: int, env: dict, tol: TolerancePolicy, std, resh):
+    """One plan node as a script for `parallel`.
 
-def _deferred(spec, party, node, env, tol, std, resh):
-    """Delay script construction to first advance, so a node reads its
-    inputs only after its dependencies have completed."""
-    result = yield from spec.build(party, node, env, tol, std, resh)
-    return result
-
-
-def party_stepper(plan: Plan, party: int, inputs: dict, ctx: PartyContext):
-    """Generator of StepBatch objects for one party.
-
-    Yields one batch per communication step; the driver sends the batch,
-    then feeds back the received payloads in expectation order.  Returns
-    the final value environment.
+    Builds the op's script on first advance, so it reads its inputs only
+    after its dependencies have settled, tags its frames with the node's
+    output ref, holds it to its planned phases and writes its result
+    into `env`.
     """
-    env: dict[str, Value] = dict(inputs)
-    for ref, kind in plan.input_kinds.items():
-        if ref not in env:
-            raise PlanError(f"missing program input {ref!r} for party {party}")
-        if env[ref].kind != kind:
-            raise PlanError(
-                f"input {ref!r} staged as {env[ref].kind}, program needs {kind}")
-
-    tasks = []
-    for pn in plan.nodes:
-        spec = OP_SPECS[pn.node.op]
-        std = [ctx.store.next_standard() for _ in pn.std_ids]
-        resh = [ctx.store.next_resharing() for _ in pn.resh_ids]
-        for slot, want in zip(std, pn.std_ids):
-            if slot.triple_id != want:
-                raise ProtocolDesync(
-                    f"standard triple id {slot.triple_id} != planned {want}; "
-                    "stores out of sync with the plan")
-        for slot, want in zip(resh, pn.resh_ids):
-            if slot.triple_id != want:
-                raise ProtocolDesync(
-                    f"resharing triple id {slot.triple_id} != planned {want}; "
-                    "stores out of sync with the plan")
-        tasks.append(_Task(pn, _deferred(spec, party, pn.node, env,
-                                         ctx.tol, std, resh)))
-
-    def settle(task, result):
-        kind = OP_SPECS[task.pn.node.op].output_kind
-        env[task.pn.node.out] = Value(kind, result)
-        task.done = True
-
-    def run_ready_locals(completed_step):
-        for task in tasks:
-            if not task.done and task.pn.phases == 0 and task.pn.end <= completed_step:
-                settle(task, _run_to_completion(task.gen))
-
-    run_ready_locals(0)
-    for step in range(1, plan.steps + 1):
-        sends, expects, routing = [], [], []
-        for task in tasks:
-            if task.done or task.pn.phases == 0:
-                continue
-            if not (task.pn.start <= step <= task.pn.end):
-                continue
-            try:
-                if task.started:
-                    phase = task.gen.send(task.inbox)
-                else:
-                    phase = next(task.gen)
-                    task.started = True
-            except StopIteration as fin:
-                settle(task, fin.value)
-                continue
-            out = task.pn.node.out
-            sends.extend((out, tag, value) for tag, value in phase.sends)
-            expects.extend((out, tag) for tag in phase.expects)
-            routing.append((task, len(phase.expects)))
-        incoming = yield StepBatch(step, tuple(sends), tuple(expects))
-        pos = 0
-        for task, width in routing:
-            task.inbox = tuple(incoming[pos:pos + width])
-            pos += width
-            if step == task.pn.end:
-                try:
-                    task.gen.send(task.inbox)
-                except StopIteration as fin:
-                    settle(task, fin.value)
-                else:
-                    raise ProtocolDesync(
-                        f"node {task.pn.node.out} yielded past its planned phases")
-        run_ready_locals(step)
-    for task in tasks:
-        if not task.done:
-            raise ProtocolDesync(f"node {task.pn.node.out} never completed")
-    return env
-
-
-def _combine(kind: str, mine: float, theirs: float) -> float:
-    if kind == KIND_ADDITIVE:
-        return mine + theirs
-    if kind == KIND_MULTIPLICATIVE:
-        return mine * theirs
-    raise ProtocolDesync(f"cannot combine kind {kind}")
-
-
-# --- lockstep driver ---------------------------------------------------------
-
-@dataclass
-class LocalRun:
-    env_p1: dict
-    env_p2: dict
-    transcript: SessionTranscript
-    revealed: dict
-
-    def reveal(self, ref: str) -> float:
-        v1, v2 = self.env_p1[ref], self.env_p2[ref]
-        if v1.kind == KIND_PUBLIC:
-            return v1.value
-        return _combine(v1.kind, v1.value, v2.value)
-
-
-def _advance(stepper, payloads):
-    try:
-        if payloads is None:
-            return next(stepper), None
-        return stepper.send(payloads), None
-    except StopIteration as fin:
-        return None, fin.value
-
-
-def _route(expects, sends):
-    if len(expects) != len(sends):
-        raise ProtocolDesync(
-            f"expected {len(expects)} frames, peer sent {len(sends)}")
-    payloads = []
-    for (want_node, want_tag), (node, tag, value) in zip(expects, sends):
-        if want_tag is not tag or want_node != node:
+    spec = OP_SPECS[pn.node.op]
+    out = pn.node.out
+    script = spec.build(party, pn.node, env, tol, std, resh)
+    got = None
+    for _ in range(pn.phases):
+        try:
+            step = script.send(got)
+        except StopIteration:
             raise ProtocolDesync(
-                f"expected {want_tag.name} for {want_node}, "
-                f"got {tag.name} for {node}")
-        payloads.append(value)
-    return payloads
-
-
-def run_local(plan: Plan, inputs_p1: dict, inputs_p2: dict,
-              store_p1: TripleStore, store_p2: TripleStore,
-              tol: TolerancePolicy | None = None, session_id: int = 1,
-              reveal: tuple = ()) -> LocalRun:
-    """Drive both parties in lockstep inside one call.
-
-    Functionally identical to a channel session: each step's outgoing
-    frames are computed on both sides before either side consumes them.
-    """
-    tol = tol or TolerancePolicy()
-    ctx1 = PartyContext(1, store_p1, tol, session_id)
-    ctx2 = PartyContext(2, store_p2, tol, session_id)
-    s1 = party_stepper(plan, 1, inputs_p1, ctx1)
-    s2 = party_stepper(plan, 2, inputs_p2, ctx2)
-    transcript = SessionTranscript(session_id)
-    b1, env1 = _advance(s1, None)
-    b2, env2 = _advance(s2, None)
-    while b1 is not None or b2 is not None:
-        if b1 is None or b2 is None:
-            raise ProtocolDesync("parties disagree on session length")
-        if b1.step != b2.step:
-            raise ProtocolDesync(f"step skew: {b1.step} vs {b2.step}")
-        for node, tag, value in b1.sends:
-            transcript.log(b1.step, 1, node, tag, value)
-        for node, tag, value in b2.sends:
-            transcript.log(b2.step, 2, node, tag, value)
-        in1 = _route(b1.expects, b2.sends)
-        in2 = _route(b2.expects, b1.sends)
-        b1, env1 = _advance(s1, in1)
-        b2, env2 = _advance(s2, in2)
-    run = LocalRun(env1, env2, transcript, {})
-    for ref in reveal:
-        run.revealed[ref] = run.reveal(ref)
-    return run
-
-
-# --- channel driver ----------------------------------------------------------
-
-@dataclass
-class RunOutcome:
-    party: int
-    env: dict
-    revealed: dict
-    transcript: SessionTranscript
-    duration: float
-
-
-def _hello_payload(plan: Plan, ctx: PartyContext, reveal) -> bytes:
-    body = {
-        "party": ctx.party,
-        "digest": plan.digest().hex(),
-        "reveal": list(reveal),
-        "cursors": list(ctx.store.cursors),
-    }
-    return b"hello:" + json.dumps(body, sort_keys=True).encode("ascii")
+                f"node {out} stopped before its planned phases") from None
+        got = yield Step([(out, tag, value) for tag, value in step.sends],
+                         [(out, tag) for tag in step.expects])
+    try:
+        script.send(got)
+    except StopIteration as fin:
+        env[out] = Value(spec.output_kind, fin.value)
+        return
+    raise ProtocolDesync(
+        f"node {out} yielded past its planned {pn.phases} phases")
 
 
 def _check_hello(mine: dict, frame: Frame, ctx: PartyContext) -> None:
@@ -282,20 +111,175 @@ def _check_hello(mine: dict, frame: Frame, ctx: PartyContext) -> None:
             f"triple cursors diverge: {mine['cursors']} vs {theirs['cursors']}")
 
 
-def _try_send_abort(channel: Channel, session_id: int, err: MpcError) -> None:
+def _raise_if_abort(frame: Frame) -> None:
+    """Turn a peer's abort frame into the error it reported."""
+    if frame.tag is Tag.CONTROL and frame.payload.startswith(b"abort:"):
+        text = frame.payload[len(b"abort:"):].decode("utf-8", "replace")
+        name, _, message = text.partition(":")
+        raise error_by_name(name)(f"peer aborted: {message}")
+
+
+def _accept(frame: Frame, sid: int, step: int, node: str, tag: Tag) -> None:
+    _raise_if_abort(frame)
+    if frame.session_id != sid:
+        raise ProtocolDesync(f"session {frame.session_id} != {sid}")
+    if frame.step != step or frame.tag is not tag:
+        raise ProtocolDesync(
+            f"expected {tag.name}@{step} for {node}, got "
+            f"{frame.tag.name}@{frame.step}")
+
+
+def _exchange(ctx: PartyContext, step: int, merged: Step,
+              transcript: SessionTranscript):
+    """Send one step's tagged frames and return the values received for
+    its expected ones, checking and logging every frame."""
+    sid, me = ctx.session_id, ctx.party
+    frames = []
+    for node, tag, value in merged.sends:
+        payload = encode_payload(tag, value)
+        frames.append(Frame(sid, step, tag, payload))
+        transcript.log(step, me, node, tag, payload)
+    received = yield frames, len(merged.expects)
+    values = []
+    for frame, (node, tag) in zip(received, merged.expects):
+        _accept(frame, sid, step, node, tag)
+        transcript.log(step, 3 - me, node, tag, frame.payload)
+        values.append(frame.scalar() if tag in SCALAR_TAGS else frame.sign())
+    return values
+
+
+def _schedule(plan: Plan, inputs: dict, ctx: PartyContext):
+    """Check the staged inputs, draw every node's triples and return
+    (env, the plan's nodes merged by `parallel`)."""
+    env: dict[str, Value] = dict(inputs)
+    for ref, kind in plan.input_kinds.items():
+        if ref not in env:
+            raise PlanError(
+                f"missing program input {ref!r} for party {ctx.party}")
+        if env[ref].kind != kind:
+            raise PlanError(
+                f"input {ref!r} staged as {env[ref].kind}, program needs {kind}")
+    nodes, starts = [], []
+    for pn in plan.nodes:
+        std = [ctx.store.next_standard() for _ in pn.std_ids]
+        resh = [ctx.store.next_resharing() for _ in pn.resh_ids]
+        for kind, slots, wants in (("standard", std, pn.std_ids),
+                                   ("resharing", resh, pn.resh_ids)):
+            for slot, want in zip(slots, wants):
+                if slot.triple_id != want:
+                    raise ProtocolDesync(
+                        f"{kind} triple id {slot.triple_id} != planned {want}; "
+                        "stores out of sync with the plan")
+        nodes.append(_node(pn, ctx.party, env, ctx.tol, std, resh))
+        # A local node settles right after the step its inputs end in.
+        starts.append(pn.start + 1 if pn.phases == 0 else pn.start)
+    return env, parallel(nodes, starts)
+
+
+def _party(plan: Plan, ctx: PartyContext, inputs: dict, reveal: tuple,
+           transcript: SessionTranscript):
+    """One party's session: hello, the plan's steps, then the reveal.
+
+    Yields (frames to send, number of frames to receive), is sent the
+    received frames and returns (env, revealed).  An `MpcError` raised
+    between the hello and the reveal, or thrown in there by the driver,
+    leaves with `notify_peer` set: the peer is still waiting on frames.
+    """
+    reveal = sorted(reveal)
+    hello = {"party": ctx.party, "digest": plan.digest().hex(),
+             "reveal": reveal, "cursors": list(ctx.store.cursors)}
+    payload = b"hello:" + json.dumps(hello, sort_keys=True).encode("ascii")
+    (first,) = yield [Frame(ctx.session_id, 0, Tag.CONTROL, payload)], 1
+    _raise_if_abort(first)
+    _check_hello(hello, first, ctx)
+
     try:
-        payload = f"abort:{type(err).__name__}:{err}".encode("utf-8", "replace")
-        channel.send(Frame(session_id, 0, Tag.CONTROL, payload))
-    except MpcError:
-        pass
+        env, schedule = _schedule(plan, inputs, ctx)
+        values, step = None, 0
+        while True:
+            try:
+                merged = schedule.send(values)
+            except StopIteration:
+                break
+            step += 1
+            values = yield from _exchange(ctx, step, merged, transcript)
+    except MpcError as err:
+        err.notify_peer = True
+        raise
+
+    if not reveal:
+        return env, {}
+    for ref in reveal:
+        if ref not in env:
+            raise PlanError(f"cannot reveal unknown ref {ref!r}")
+    shared = [ref for ref in reveal if env[ref].kind != KIND_PUBLIC]
+    shares = Step([(ref, Tag.SHARE, env[ref].value) for ref in shared],
+                  [(ref, Tag.SHARE) for ref in shared])
+    theirs = yield from _exchange(ctx, plan.steps + 1, shares, transcript)
+    theirs = dict(zip(shared, theirs))
+    return env, {ref: _open(env[ref], theirs.get(ref)) for ref in reveal}
 
 
-def _raise_peer_abort(frame: Frame) -> None:
-    from .errors import error_by_name
+def _resume(core, received):
+    """Advance a core: ((frames, count), None), or (None, its result)."""
+    try:
+        return core.send(received), None
+    except StopIteration as fin:
+        return None, fin.value
 
-    text = frame.payload[len(b"abort:"):].decode("utf-8", "replace")
-    name, _, message = text.partition(":")
-    raise error_by_name(name)(f"peer aborted: {message}")
+
+# --- lockstep driver ---------------------------------------------------------
+
+@dataclass
+class LocalRun:
+    env_p1: dict
+    env_p2: dict
+    transcript: SessionTranscript
+    revealed: dict
+
+    def reveal(self, ref: str) -> float:
+        return _open(self.env_p1[ref], self.env_p2[ref].value)
+
+
+def run_local(plan: Plan, inputs_p1: dict, inputs_p2: dict,
+              store_p1: TripleStore, store_p2: TripleStore,
+              tol: TolerancePolicy | None = None, session_id: int = 1,
+              reveal: tuple = ()) -> LocalRun:
+    """Drive both parties in lockstep inside one call.
+
+    Each exchange hands one core's frames to the other; the cores do all
+    frame checks and logging, as in a channel session.  The transcript is
+    party 1's.
+    """
+    tol = tol or TolerancePolicy()
+    transcript = SessionTranscript(session_id)
+    core1 = _party(plan, PartyContext(1, store_p1, tol, session_id),
+                   inputs_p1, reveal, transcript)
+    core2 = _party(plan, PartyContext(2, store_p2, tol, session_id),
+                   inputs_p2, reveal, SessionTranscript(session_id))
+    (x1, done1), (x2, done2) = _resume(core1, None), _resume(core2, None)
+    while x1 is not None or x2 is not None:
+        if x1 is None or x2 is None:
+            raise ProtocolDesync("parties disagree on session length")
+        (sent1, want1), (sent2, want2) = x1, x2
+        for want, sent in ((want1, sent2), (want2, sent1)):
+            if want != len(sent):
+                raise ProtocolDesync(
+                    f"expected {want} frames, peer sent {len(sent)}")
+        (x1, done1), (x2, done2) = _resume(core1, sent2), _resume(core2, sent1)
+    (env1, revealed), (env2, _) = done1, done2
+    return LocalRun(env1, env2, transcript, revealed)
+
+
+# --- channel driver ----------------------------------------------------------
+
+@dataclass
+class RunOutcome:
+    party: int
+    env: dict
+    revealed: dict
+    transcript: SessionTranscript
+    duration: float
 
 
 def execute(plan: Plan, ctx: PartyContext, inputs: dict, channel: Channel,
@@ -304,71 +288,32 @@ def execute(plan: Plan, ctx: PartyContext, inputs: dict, channel: Channel,
     """Run one party of a session over a channel."""
     started = time.perf_counter()
     transcript = transcript or SessionTranscript(ctx.session_id)
-    reveal = tuple(sorted(reveal))
-    me, peer = ctx.party, 3 - ctx.party
-    sid = ctx.session_id
-
-    hello = _hello_payload(plan, ctx, reveal)
-    channel.send(Frame(sid, 0, Tag.CONTROL, hello))
-    first = channel.recv()
-    if first.tag is Tag.CONTROL and first.payload.startswith(b"abort:"):
-        _raise_peer_abort(first)
-    _check_hello(json.loads(hello[len(b"hello:"):]), first, ctx)
-
-    stepper = party_stepper(plan, me, inputs, ctx)
+    core = _party(plan, ctx, inputs, reveal, transcript)
     try:
-        batch, env = _advance(stepper, None)
-        while batch is not None:
-            for node, tag, value in batch.sends:
-                payload = encode_payload(tag, value)
-                channel.send(Frame(sid, batch.step, tag, payload))
-                transcript.log(batch.step, me, node, tag, payload)
-            incoming = []
-            for node, tag in batch.expects:
-                frame = channel.recv()
-                if frame.tag is Tag.CONTROL and frame.payload.startswith(b"abort:"):
-                    _raise_peer_abort(frame)
-                if frame.session_id != sid:
-                    raise ProtocolDesync(
-                        f"session {frame.session_id} != {sid}")
-                if frame.step != batch.step or frame.tag is not tag:
-                    raise ProtocolDesync(
-                        f"expected {tag.name}@{batch.step} for {node}, got "
-                        f"{frame.tag.name}@{frame.step}")
-                transcript.log(batch.step, peer, node, tag, frame.payload)
-                incoming.append(frame.scalar() if tag in SCALAR_TAGS
-                                else frame.sign())
-            batch, env = _advance(stepper, incoming)
+        exchange, result = _resume(core, None)
+        while exchange is not None:
+            frames, count = exchange
+            try:
+                for frame in frames:
+                    channel.send(frame)
+                received = []
+                for _ in range(count):
+                    received.append(channel.recv())
+                    if received[-1].tag is Tag.CONTROL:
+                        break  # the core turns a peer's abort into its error
+            except MpcError as err:
+                core.throw(err)  # re-raised, marked if the peer waits on us
+            exchange, result = _resume(core, received)
     except MpcError as err:
-        _try_send_abort(channel, sid, err)
+        if getattr(err, "notify_peer", False):
+            abort = f"abort:{type(err).__name__}:{err}".encode("utf-8", "replace")
+            try:
+                channel.send(Frame(ctx.session_id, 0, Tag.CONTROL, abort))
+            except MpcError:
+                pass  # the error to report is the one that stopped us
         raise
-
-    revealed = {}
-    if reveal:
-        step = plan.steps + 1
-        waiting = []
-        for ref in reveal:
-            if ref not in env:
-                raise PlanError(f"cannot reveal unknown ref {ref!r}")
-            value = env[ref]
-            if value.kind == KIND_PUBLIC:
-                revealed[ref] = value.value
-                continue
-            payload = encode_payload(Tag.SHARE, value.value)
-            channel.send(Frame(sid, step, Tag.SHARE, payload))
-            transcript.log(step, me, ref, Tag.SHARE, payload)
-            waiting.append(ref)
-        for ref in waiting:
-            frame = channel.recv()
-            if frame.tag is Tag.CONTROL and frame.payload.startswith(b"abort:"):
-                _raise_peer_abort(frame)
-            if frame.tag is not Tag.SHARE or frame.step != step:
-                raise ProtocolDesync("expected reveal share")
-            transcript.log(step, peer, ref, Tag.SHARE, frame.payload)
-            value = env[ref]
-            revealed[ref] = _combine(value.kind, value.value, frame.scalar())
-
-    return RunOutcome(me, env, revealed, transcript,
+    env, revealed = result
+    return RunOutcome(ctx.party, env, revealed, transcript,
                       time.perf_counter() - started)
 
 

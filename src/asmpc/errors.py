@@ -45,8 +45,9 @@ class DivisionByZero(MpcError):
 
 
 class NearZeroDenominator(MpcError):
-    """A resharing denominator fell inside the zero guard; the session
-    aborts and the caller retries with a fresh triple."""
+    """A resharing denominator fell inside the zero guard.  Nothing
+    retries: the session aborts with exit code 5, and the operator must
+    deal fresh triples before running again."""
 
     exit_code = 5
 

@@ -84,14 +84,6 @@ class MaskSource:
         return sign * self._rng.uniform(p.mult_floor, p.mult_bound)
 
 
-def draw_additive_mask(source: MaskSource) -> float:
-    return source.additive()
-
-
-def draw_multiplicative_mask(source: MaskSource) -> float:
-    return source.multiplicative()
-
-
 def ensure_finite(value: float, what: str = "value") -> float:
     value = float(value)
     if not math.isfinite(value):

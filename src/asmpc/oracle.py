@@ -13,7 +13,6 @@ import math
 from .errors import OracleDomainError
 from .numeric import arcsine_series_coefficients
 from .program import ProtocolProgram
-from .protocols import resolve_product_strategy
 
 
 def _fail(node, message):
@@ -50,8 +49,7 @@ def _signed_power(node, x, exponent):
     return -magnitude if int(exponent) % 2 else magnitude
 
 
-def eval_plain(program: ProtocolProgram, env: dict[str, float],
-               optimize: str = "rounds") -> dict[str, float]:
+def eval_plain(program: ProtocolProgram, env: dict[str, float]) -> dict[str, float]:
     """Evaluate every node on plain inputs; returns all node outputs."""
     values = dict(env)
     for ref in program.inputs:
@@ -133,9 +131,5 @@ def eval_plain(program: ProtocolProgram, env: dict[str, float],
                 out = _signed_power(node, x, int(y))
         else:
             _fail(node, "unsupported op")
-        # Touch the resolution so plans and oracles agree on strategy checks.
-        if op == "prod":
-            resolve_product_strategy(len(args), opts.get("strategy", "auto"),
-                                     optimize)
         values[node.out] = results[node.out] = _finite(node, float(out))
     return results

@@ -169,8 +169,14 @@ class Plan:
     resharing_count: int
     input_kinds: dict
     optimize: str
+    _digest: bytes | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def digest(self) -> bytes:
+        """Hash of the schedule, compared in the session hello.  Computed
+        once: a plan is not changed after `plan` returns it."""
+        if self._digest is not None:
+            return self._digest
         h = hashlib.sha256()
         h.update(f"optimize={self.optimize};steps={self.steps};".encode())
         for pn in self.nodes:
@@ -180,7 +186,8 @@ class Plan:
                      f"{pn.phases};{pn.start};{pn.std_ids};{pn.resh_ids}|".encode())
         for ref in sorted(self.input_kinds):
             h.update(f"in:{ref}:{self.input_kinds[ref]}|".encode())
-        return h.digest()
+        self._digest = h.digest()
+        return self._digest
 
 
 def plan(program: ProtocolProgram, optimize: str = "rounds") -> Plan:

@@ -56,44 +56,45 @@ class ComparisonOutcome(IntEnum):
     GREATER = 1
 
 
-def parallel(scripts):
-    """Advance scripts in lockstep, merging each phase into one step.
+def parallel(scripts, starts=None):
+    """Advance scripts together, merging each phase into one step.
 
-    Scripts may finish at different phases; finished ones drop out and
-    their results keep their original positions in the returned list.
+    `starts` gives each script's first phase (1-based; all start at
+    phase 1 by default).  Every phase advances the started, unfinished
+    scripts in list order, so merged frames keep that order, and yields
+    their merged step even when it is empty; finished scripts drop out.
+    Returns the results in list order once no script is left.
     """
     scripts = list(scripts)
+    starts = starts or [1] * len(scripts)
+    waiting = sorted(range(len(scripts)), key=starts.__getitem__, reverse=True)
     results = [None] * len(scripts)
-    inbox = {i: None for i in range(len(scripts))}
-    started = set()
-    active = list(range(len(scripts)))
-    while active:
-        steps = {}
-        still = []
+    inboxes = [None] * len(scripts)
+    active, phase = [], 1
+    while True:
+        while waiting and starts[waiting[-1]] <= phase:
+            active.append(waiting.pop())
+        active.sort()
+        running, sends, expects, widths = [], [], [], []
         for i in active:
-            gen = scripts[i]
             try:
-                step = gen.send(inbox[i]) if i in started else next(gen)
-                started.add(i)
-                steps[i] = step
-                still.append(i)
+                step = scripts[i].send(inboxes[i])
             except StopIteration as fin:
                 results[i] = fin.value
-        active = still
-        if not active:
-            break
-        sends, expects, splits = [], [], []
-        for i in active:
-            step = steps[i]
+                continue
+            running.append(i)
             sends.extend(step.sends)
             expects.extend(step.expects)
-            splits.append((i, len(step.expects)))
+            widths.append(len(step.expects))
+        active = running
+        if not active and not waiting:
+            return results
         got = yield Step(tuple(sends), tuple(expects))
         pos = 0
-        for i, width in splits:
-            inbox[i] = got[pos:pos + width]
+        for i, width in zip(active, widths):
+            inboxes[i] = got[pos:pos + width]
             pos += width
-    return results
+        phase += 1
 
 
 def _immediate(value):
@@ -183,7 +184,8 @@ def additive_reshare(party, x, triple, zero_guard):
     u2 = e + triple.plain
     if abs(u2) < zero_guard:
         raise NearZeroDenominator(
-            "resharing denominator inside zero guard; retry with a fresh triple")
+            "resharing denominator inside zero guard; the session aborts "
+            "(exit code 5) and needs freshly dealt triples")
     d = (x - triple.c_share) / u2
     yield Step(((Tag.D, d),), ())
     return u2

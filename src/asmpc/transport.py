@@ -69,32 +69,12 @@ class Frame:
         return state
 
 
-def scalar_frame(session_id: int, step: int, tag: Tag, value: float) -> Frame:
-    return Frame(session_id, step, tag, _SCALAR.pack(float(value)))
-
-
-def sign_frame(session_id: int, step: int, state: int) -> Frame:
-    return Frame(session_id, step, Tag.SIGN, bytes([state]))
-
-
-def control_frame(session_id: int, payload: bytes) -> Frame:
-    return Frame(session_id, 0, Tag.CONTROL, payload)
-
-
 def encode_payload(tag: Tag, value) -> bytes:
     if tag in SCALAR_TAGS:
         return _SCALAR.pack(float(value))
     if tag is Tag.SIGN:
         return bytes([int(value)])
     return bytes(value)
-
-
-def frame_bits(frame: Frame) -> int:
-    if frame.tag in SCALAR_TAGS:
-        return SCALAR_BITS
-    if frame.tag is Tag.SIGN:
-        return SIGN_BITS
-    return 0
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -376,7 +356,3 @@ class SessionTranscript:
                 int(step), int(sender), int(seq), node,
                 Tag[tag_name], bytes.fromhex(payload_hex)))
         return t
-
-
-def account(transcript: SessionTranscript) -> tuple[int, int, int, int]:
-    return transcript.account()

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import pytest
@@ -22,7 +23,8 @@ from asmpc.errors import (
     ProtocolDesync,
     TripleExhausted,
 )
-from asmpc.protocols import Value
+from asmpc.program import parse_program, plan
+from asmpc.protocols import OP_SPECS, Step, Value
 from asmpc.transport import Tag, tcp_connect, tcp_listen_ephemeral
 
 from helpers import BALANCED, catalog_run, crafted_resharing_store, plan_for, split_records
@@ -146,6 +148,16 @@ def test_reveal_over_channels():
     assert len(share_frames) == 2  # p from each party; c is already public
 
 
+def test_lockstep_reveal_matches_channel_transcript():
+    plan_obj, in1, in2, st1, st2 = _stage(seed=303)
+    ch1, ch2 = make_inproc_pair()
+    out1, _ = run_over_channels(plan_obj, in1, in2, st1, st2, ch1, ch2,
+                                reveal=("p", "c"))
+    local = run_local(*_stage(seed=303), reveal=("p", "c"))
+    assert local.transcript.canonical_bytes() == out1.transcript.canonical_bytes()
+    assert local.revealed == out1.revealed
+
+
 def test_mismatched_programs_desync_at_hello():
     plan_a = plan_for("f = mul(x, y)")
     plan_b = plan_for("f = mul(y, x)")
@@ -179,6 +191,16 @@ def test_abort_reaches_the_peer_over_channels():
                           {"x": Value("A", 1.0)}, st1, st2, ch1, ch2)
 
 
+def test_peer_abort_arrives_before_the_rest_of_a_step():
+    # Party 1 waits on two frames in step 1; party 2 fails before sending
+    # them, so its abort frame comes first and then the channel closes.
+    plan_obj, in1, in2, st1, st2 = _stage()
+    del in2["x"]
+    ch1, ch2 = make_inproc_pair()
+    with pytest.raises(PlanError):
+        run_over_channels(plan_obj, in1, in2, st1, st2, ch1, ch2)
+
+
 def test_inputs_from_records():
     masks = MaskSource(BALANCED)
     records = stage_inputs({"x": 2.0}, masks)
@@ -194,3 +216,47 @@ def test_parallel_nodes_share_rounds_end_to_end():
     assert run.transcript.rounds == 1
     assert run.reveal("f") == pytest.approx(2.0, rel=1e-9)
     assert run.reveal("g") == pytest.approx(12.0, rel=1e-9)
+
+
+# --- desync checks -------------------------------------------------------------
+# Each case swaps one catalog entry, so the plan and the script disagree;
+# plans are made here, not with the cached plan_for.
+
+def _respec(monkeypatch, op, **changes):
+    monkeypatch.setitem(OP_SPECS, op, dataclasses.replace(OP_SPECS[op], **changes))
+    return plan(parse_program(f"f = {op}(x, y)"))
+
+
+PHASE_MISMATCHES = [
+    ("mul", 0),  # a local-only node that communicates
+    ("div", 2),  # a script that yields past its planned phases
+    ("mul", 2),  # a script that stops before its planned phases
+]
+
+
+@pytest.mark.parametrize("op, phases", PHASE_MISMATCHES)
+def test_planned_phase_mismatch_desyncs_lockstep(monkeypatch, op, phases):
+    plan_obj = _respec(monkeypatch, op, phases=lambda node: phases)
+    with pytest.raises(ProtocolDesync):
+        run_local(*_stage(plan_obj=plan_obj))
+
+
+@pytest.mark.parametrize("op, phases", PHASE_MISMATCHES)
+def test_planned_phase_mismatch_desyncs_over_channels(monkeypatch, op, phases):
+    plan_obj = _respec(monkeypatch, op, phases=lambda node: phases)
+    ch1, ch2 = make_inproc_pair()
+    with pytest.raises(ProtocolDesync):
+        run_over_channels(*_stage(plan_obj=plan_obj), ch1, ch2)
+
+
+def test_frame_count_mismatch_desyncs_lockstep(monkeypatch):
+    def lopsided(party, node, env, tol, std, resh):
+        if party == 1:
+            yield Step(((Tag.D, 1.0),), ())
+        else:
+            yield Step((), (Tag.D, Tag.D))
+        return 0.0
+
+    plan_obj = _respec(monkeypatch, "mul", build=lopsided)
+    with pytest.raises(ProtocolDesync):
+        run_local(*_stage(plan_obj=plan_obj))

@@ -9,8 +9,6 @@ from asmpc.numeric import (
     RandomnessPolicy,
     TolerancePolicy,
     arcsine_series_coefficients,
-    draw_additive_mask,
-    draw_multiplicative_mask,
     ensure_finite,
 )
 from asmpc.errors import InvalidSecret
@@ -19,7 +17,7 @@ from asmpc.errors import InvalidSecret
 def test_additive_mask_containment():
     masks = MaskSource(RandomnessPolicy(additive_bound=1.0, seed=1))
     for _ in range(1000):
-        assert -1.0 <= draw_additive_mask(masks) <= 1.0
+        assert -1.0 <= masks.additive() <= 1.0
 
 
 def test_same_seed_same_sequence():
@@ -41,7 +39,7 @@ def test_multiplicative_mask_bounds_and_no_zero():
     policy = RandomnessPolicy(mult_floor=2.0 ** -10, mult_bound=2.0 ** 10, seed=2)
     masks = MaskSource(policy)
     for _ in range(1000):
-        m = draw_multiplicative_mask(masks)
+        m = masks.multiplicative()
         assert m != 0.0
         assert 2.0 ** -10 <= abs(m) <= 2.0 ** 10
 

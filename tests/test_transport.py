@@ -7,26 +7,33 @@ from asmpc.transport import (
     Frame,
     SessionTranscript,
     Tag,
+    TranscriptEntry,
     encode_frame,
-    frame_bits,
+    encode_payload,
     make_inproc_pair,
-    scalar_frame,
-    sign_frame,
     tcp_connect,
     tcp_listen_ephemeral,
 )
 
 
+def _frame(session_id, step, tag, value):
+    return Frame(session_id, step, tag, encode_payload(tag, value))
+
+
+def _bits(frame):
+    return TranscriptEntry(frame.step, 1, 0, "f", frame.tag, frame.payload).bits()
+
+
 def test_scalar_frame_round_trip():
-    f = scalar_frame(7, 3, Tag.D, 0.1)
+    f = _frame(7, 3, Tag.D, 0.1)
     assert f.scalar() == 0.1
-    assert frame_bits(f) == 64
+    assert _bits(f) == 64
 
 
 def test_sign_frame():
-    f = sign_frame(7, 3, 2)
+    f = _frame(7, 3, Tag.SIGN, 2)
     assert f.sign() == 2
-    assert frame_bits(f) == 1
+    assert _bits(f) == 1
     with pytest.raises(ProtocolDesync):
         Frame(7, 3, Tag.SIGN, b"\x07").sign()
 
@@ -40,7 +47,7 @@ def test_non_finite_scalar_rejected():
 
 
 def test_wire_encoding_layout():
-    f = scalar_frame(0x0102030405060708, 0x0A0B, Tag.E, 1.0)
+    f = _frame(0x0102030405060708, 0x0A0B, Tag.E, 1.0)
     data = encode_frame(f)
     assert data[:4] == (8).to_bytes(4, "big")
     assert data[4:12] == (0x0102030405060708).to_bytes(8, "big")
@@ -51,7 +58,7 @@ def test_wire_encoding_layout():
 
 def test_inproc_fifo_order():
     a, b = make_inproc_pair()
-    frames = [scalar_frame(1, i % 7, Tag.D, float(i)) for i in range(1000)]
+    frames = [_frame(1, i % 7, Tag.D, float(i)) for i in range(1000)]
     for f in frames:
         a.send(f)
     got = [b.recv() for _ in range(1000)]
@@ -93,9 +100,9 @@ def _tcp_pair(session=5, client_version=None):
 def test_tcp_round_trip():
     server, client = _tcp_pair()
     try:
-        client.send(scalar_frame(5, 1, Tag.D, 2.5))
+        client.send(_frame(5, 1, Tag.D, 2.5))
         assert server.recv().scalar() == 2.5
-        server.send(sign_frame(5, 2, 1))
+        server.send(_frame(5, 2, Tag.SIGN, 1))
         assert client.recv().sign() == 1
     finally:
         server.close()
