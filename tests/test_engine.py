@@ -146,13 +146,7 @@ def test_reveal_over_channels():
         run_local(*_stage(seed=303)).transcript.account()
     share_frames = [e for e in out1.transcript.entries if e.tag is Tag.SHARE]
     assert len(share_frames) == 2  # p from each party; c is already public
-
-
-def test_lockstep_reveal_matches_channel_transcript():
-    plan_obj, in1, in2, st1, st2 = _stage(seed=303)
-    ch1, ch2 = make_inproc_pair()
-    out1, _ = run_over_channels(plan_obj, in1, in2, st1, st2, ch1, ch2,
-                                reveal=("p", "c"))
+    # A lockstep run reveals through the same exchange.
     local = run_local(*_stage(seed=303), reveal=("p", "c"))
     assert local.transcript.canonical_bytes() == out1.transcript.canonical_bytes()
     assert local.revealed == out1.revealed
@@ -218,7 +212,7 @@ def test_parallel_nodes_share_rounds_end_to_end():
     assert run.reveal("g") == pytest.approx(12.0, rel=1e-9)
 
 
-# --- desync checks -------------------------------------------------------------
+# --- desync checks -----------------------------------------------------------
 # Each case swaps one catalog entry, so the plan and the script disagree;
 # plans are made here, not with the cached plan_for.
 
