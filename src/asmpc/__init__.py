@@ -30,7 +30,6 @@ from .sharing import (
     MultiplicativeSharing,
     ShareRecord,
     read_share_file,
-    reveal,
     share_additive,
     share_multiplicative,
     stage_inputs,
@@ -67,7 +66,6 @@ __all__ = [
     "plan",
     "read_share_file",
     "read_triple_file",
-    "reveal",
     "run_local",
     "run_over_channels",
     "share_additive",

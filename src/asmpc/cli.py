@@ -12,7 +12,7 @@ import os
 import sys
 
 from .config import CONFIG_KEYS, build_policies, load_config_file
-from .costs import expected_for_node
+from .costs import expected_cost
 from .dealer import generate_triples, read_triple_file, write_triple_file
 from .engine import (
     PartyContext,
@@ -24,7 +24,6 @@ from .errors import MpcError
 from .numeric import MaskSource
 from .oracle import eval_plain
 from .program import Plan, load_program, plan as plan_program
-from .protocols import KIND_PUBLIC
 from .sharing import format_float, read_share_file
 from .transport import (
     DEFAULT_PORT,
@@ -276,17 +275,11 @@ def cmd_report(args) -> int:
     if data.get("format") != RUN_FORMAT:
         raise ValueError(f"not a run record: {args.run}")
 
-    class _NodeView:
-        def __init__(self, entry):
-            self.op = entry["op"]
-            self.args = [""] * entry["n"]
-            self.options = entry["options"]
-
     rows = []
     all_ok = True
     node_costs = data["node_costs"]
     for entry in data["nodes"]:
-        exp = expected_for_node(_NodeView(entry))
+        exp = expected_cost(entry["op"], entry["n"], entry["options"])
         actual_rounds, actual_bits = node_costs.get(entry["out"], (0, 0))
         ok = exp.matches(actual_rounds, actual_bits)
         all_ok = all_ok and ok

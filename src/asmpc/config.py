@@ -49,7 +49,6 @@ def build_policies(values: dict[str, float], seed: int | None = None,
     )
     tol = TolerancePolicy(
         delta=values.get("tol.delta", base_tol.delta),
-        oracle_rel_tol=base_tol.oracle_rel_tol,
         zero_guard=values.get("tol.zero_guard", base_tol.zero_guard),
     )
     return mask, tol

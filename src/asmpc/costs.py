@@ -28,9 +28,13 @@ class CostExpectation:
         return rounds <= self.rounds and bits <= self.bits
 
 
-def expected_cost(op: str, n: int = 1, *, order: int = 15,
-                  positive_domain: bool = False, strategy: str = "pairwise",
+def expected_cost(op: str, n: int, options: dict,
                   l: int = SCALAR_BITS) -> CostExpectation:
+    """Expectation for an op on n inputs with the planner's resolved
+    options (`order`, `positive_domain`, `strategy_resolved`)."""
+    order = int(options.get("order", 15))
+    positive_domain = bool(options.get("positive_domain", False))
+    strategy = options.get("strategy_resolved", "pairwise")
     if op == "linear":
         return CostExpectation(0, 0)
     if op == "mul":
@@ -78,12 +82,4 @@ def expected_cost(op: str, n: int = 1, *, order: int = 15,
 
 def expected_for_node(node, l: int = SCALAR_BITS) -> CostExpectation:
     """Expectation for a resolved plan node."""
-    opts = node.options
-    return expected_cost(
-        node.op,
-        n=len(node.args),
-        order=int(opts.get("order", 15)),
-        positive_domain=bool(opts.get("positive_domain", False)),
-        strategy=opts.get("strategy_resolved", "pairwise"),
-        l=l,
-    )
+    return expected_cost(node.op, len(node.args), node.options, l)

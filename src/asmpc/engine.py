@@ -77,7 +77,8 @@ def _node(pn, party: int, env: dict, tol: TolerancePolicy, std, resh):
     """
     spec = OP_SPECS[pn.node.op]
     out = pn.node.out
-    script = spec.build(party, pn.node, env, tol, std, resh)
+    script = spec.build(party, pn.node, [env[r].value for r in pn.node.args],
+                        tol, std, resh)
     got = None
     for _ in range(pn.phases):
         try:

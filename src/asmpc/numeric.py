@@ -47,15 +47,13 @@ class TolerancePolicy:
 
     delta: comparison zero test, applied to revealed multiplicative share
     magnitudes.  zero_guard: denominators below this abort a resharing.
-    oracle_rel_tol: acceptance tolerance for protocol-vs-plaintext checks.
     """
 
     delta: float = 1e-9
-    oracle_rel_tol: float = 1e-9
     zero_guard: float = 1e-30
 
     def __post_init__(self):
-        if not (self.delta > 0 and self.oracle_rel_tol > 0 and self.zero_guard > 0):
+        if not (self.delta > 0 and self.zero_guard > 0):
             raise ValueError("tolerances must be positive")
         if not self.zero_guard < self.delta:
             raise ValueError("zero_guard must be smaller than delta")

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import PlanError
-from .protocols import OP_SPECS, resolve_product_strategy
+from .protocols import OP_SPECS, derive, resolve_product_strategy
 
 _LINE = re.compile(r"^([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*\((.*)\)\s*$")
 _IDENT = re.compile(r"^[A-Za-z_]\w*$")
@@ -94,7 +94,7 @@ def _parse_value(text: str, lineno: int):
 def parse_program(text: str) -> ProtocolProgram:
     program = ProtocolProgram(source=text)
     produced = set()
-    used = []
+    used = {}  # program inputs, in first-use order
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,15 +119,15 @@ def parse_program(text: str) -> ProtocolProgram:
                 if not _IDENT.match(piece):
                     raise PlanError(f"line {lineno}: bad input ref {piece!r}")
                 args.append(piece)
-                if piece not in produced and piece not in used:
-                    used.append(piece)
-        if out in used and out not in produced:
+                if piece not in produced:
+                    used.setdefault(piece)
+        if out in used:
             # The ref was consumed earlier as a program input; redefining it
             # now would make the line order ambiguous.
             raise PlanError(f"line {lineno}: {out!r} already used as an input")
         program.nodes.append(Node(out, op, tuple(args), options, lineno))
         produced.add(out)
-    program.inputs = [ref for ref in used if ref not in produced]
+    program.inputs = list(used)
     return program
 
 
@@ -211,7 +211,8 @@ def plan(program: ProtocolProgram, optimize: str = "rounds") -> Plan:
                 len(node.args), options.get("strategy", "auto"), optimize)
         resolved = ResolvedNode(node.out, node.op, node.args, options)
         spec.validate(resolved)
-        for ref, kind in zip(resolved.args, spec.input_kinds(resolved)):
+        kind = spec.input_kind
+        for ref in resolved.args:
             if ref in out_kinds:
                 if out_kinds[ref] != kind:
                     raise PlanError(
@@ -224,14 +225,13 @@ def plan(program: ProtocolProgram, optimize: str = "rounds") -> Plan:
                         f"line {node.line}: input {ref!r} used both as "
                         f"{seen} and {kind}")
         ready = max((end_of.get(ref, 0) for ref in resolved.args), default=0)
-        phases = spec.phases(resolved)
+        phases, std_n, resh_n = derive(resolved)
         if phases == 0:
             start = end = ready
         else:
             start = ready + 1
             end = start + phases - 1
             steps = max(steps, end)
-        std_n, resh_n = spec.demand(resolved)
         plan_nodes.append(PlanNode(
             resolved, phases, start, end,
             tuple(range(std_counter, std_counter + std_n)),

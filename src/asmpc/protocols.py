@@ -10,6 +10,11 @@ makes a step a single round.
 
 All online randomness comes from dealer triples; the scripts themselves
 are deterministic given shares and triples.
+
+A script is the only statement of its op's message pattern: `derive`
+dry-runs it once to count the op's phases and the triples it uses, and
+the planner schedules from those counts.  `costs.py` is the independent
+table the measured costs are checked against.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import (
     NumericOverflow,
     PlanError,
 )
+from .dealer import ResharingSlice, StandardSlice
 from .numeric import TolerancePolicy, arcsine_series_coefficients
 from .transport import Tag
 
@@ -242,15 +248,15 @@ def logarithm(party, x, base, triple, zero_guard):
 def power_product(party, values, exponents, triples, zero_guard):
     """Product of integer powers: reshare every input in parallel, raise
     and multiply locally, reshare the product back."""
-    reshares = [additive_reshare(party, v, t, zero_guard)
-                for v, t in zip(values, triples[:-1])]
+    reshares = [additive_reshare(party, v, triples[i], zero_guard)
+                for i, v in enumerate(values)]
     us = yield from parallel(reshares)
     v = 1.0
     for u, alpha in zip(us, exponents):
         v *= _share_power(u, alpha, zero_guard)
     if math.isinf(v):
         raise NumericOverflow("local power product overflows")
-    return (yield from multiplicative_reshare(party, v, triples[-1]))
+    return (yield from multiplicative_reshare(party, v, triples[len(values)]))
 
 
 def product_tree(party, values, triples, _zero_guard):
@@ -409,22 +415,18 @@ def power_secret_exponent(party, x_share, y_share, resh_log, std_mul,
 
 @dataclass(frozen=True)
 class OpSpec:
-    """Static description of one catalog operation."""
+    """Static description of one catalog operation.
+
+    An op's phases and triple demand are not stated here: `derive` counts
+    them from the script that `build` returns, so the script is their one
+    statement.
+    """
 
     name: str
     output_kind: str
+    input_kind: str          # the share kind of every input ref
     validate: callable       # node -> None, raises PlanError / InvalidBase
-    phases: callable         # node -> int (communication phases)
-    demand: callable         # node -> (standard, resharing) triple counts
-    input_kinds: callable    # node -> list of expected input kinds
-    build: callable          # (party, node, env, tol, std, resh) -> generator
-
-
-def _share_in(env, ref, expected_kind):
-    value = env[ref]
-    if value.kind != expected_kind:
-        raise PlanError(f"ref {ref!r} is {value.kind}, expected {expected_kind}")
-    return value.value
+    build: callable          # (party, node, input values, tol, std, resh) -> generator
 
 
 def _want(node, key, default=None):
@@ -452,10 +454,6 @@ def _int_option(node, key, default):
     return int(raw)
 
 
-def _a_kinds(node):
-    return [KIND_A] * len(node.args)
-
-
 def _validate_linear(node):
     _only_options(node, "coeffs", "bias")
     coeffs = _want(node, "coeffs", [])
@@ -466,11 +464,10 @@ def _validate_linear(node):
         raise PlanError("linear bias must be a number")
 
 
-def _build_linear(party, node, env, tol, std, resh):
+def _build_linear(party, node, xs, tol, std, resh):
     coeffs = [float(c) for c in _want(node, "coeffs", [])]
     bias = float(_want(node, "bias", 0.0))
-    values = [_share_in(env, r, KIND_A) for r in node.args]
-    return linear_combine(party, values, coeffs, bias)
+    return linear_combine(party, xs, coeffs, bias)
 
 
 def _validate_exp(node):
@@ -527,32 +524,11 @@ def resolve_product_strategy(n, strategy, optimize="rounds"):
     return "pairwise" if math.ceil(math.log2(n)) < 3 else "power"
 
 
-def _prod_resolved(node):
-    resolved = node.options.get("strategy_resolved")
-    if resolved is None:
-        resolved = resolve_product_strategy(
-            len(node.args), _want(node, "strategy", "auto"))
-    return resolved
-
-
-def _prod_phases(node):
-    if _prod_resolved(node) == "pairwise":
-        return math.ceil(math.log2(len(node.args)))
-    return 3
-
-
-def _prod_demand(node):
-    n = len(node.args)
-    if _prod_resolved(node) == "pairwise":
-        return (n - 1, 0)
-    return (0, n + 1)
-
-
-def _build_prod(party, node, env, tol, std, resh):
-    values = [_share_in(env, r, KIND_A) for r in node.args]
-    if _prod_resolved(node) == "pairwise":
-        return product_tree(party, values, std, tol.zero_guard)
-    return power_product(party, values, [1] * len(values), resh, tol.zero_guard)
+def _build_prod(party, node, xs, tol, std, resh):
+    # The planner always records the resolved strategy.
+    if node.options["strategy_resolved"] == "pairwise":
+        return product_tree(party, xs, std, tol.zero_guard)
+    return power_product(party, xs, [1] * len(xs), resh, tol.zero_guard)
 
 
 def _validate_trig(node):
@@ -584,231 +560,216 @@ def _validate_pre(node):
 OP_SPECS: dict[str, OpSpec] = {}
 
 
-def _register(name, output_kind, validate, phases, demand, input_kinds, build):
-    OP_SPECS[name] = OpSpec(name, output_kind, validate, phases, demand,
-                            input_kinds, build)
+def _register(name, output_kind, validate, build, input_kind=KIND_A):
+    OP_SPECS[name] = OpSpec(name, output_kind, input_kind, validate, build)
 
 
 _register(
     "linear", KIND_A,
     _validate_linear,
-    lambda node: 0,
-    lambda node: (0, 0),
-    _a_kinds,
     _build_linear,
 )
 
 _register(
     "mul", KIND_A,
     lambda node: (_require_refs(node, count=2), _only_options(node)),
-    lambda node: 1,
-    lambda node: (1, 0),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: beaver_multiply(
-        party, _share_in(env, node.args[0], KIND_A),
-        _share_in(env, node.args[1], KIND_A), std[0]),
+    lambda party, node, xs, tol, std, resh: beaver_multiply(
+        party, xs[0], xs[1], std[0]),
 )
 
 _register(
     "mulres", KIND_A,
     lambda node: (_require_refs(node, count=1), _only_options(node)),
-    lambda node: 1,
-    lambda node: (0, 1),
-    lambda node: [KIND_M],
-    lambda party, node, env, tol, std, resh: multiplicative_reshare(
-        party, _share_in(env, node.args[0], KIND_M), resh[0]),
+    lambda party, node, xs, tol, std, resh: multiplicative_reshare(
+        party, xs[0], resh[0]),
+    input_kind=KIND_M,
 )
 
 _register(
     "addres", KIND_M,
     lambda node: (_require_refs(node, count=1), _only_options(node)),
-    lambda node: 2,
-    lambda node: (0, 1),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: additive_reshare(
-        party, _share_in(env, node.args[0], KIND_A), resh[0], tol.zero_guard),
+    lambda party, node, xs, tol, std, resh: additive_reshare(
+        party, xs[0], resh[0], tol.zero_guard),
 )
 
 _register(
     "cmp", KIND_PUBLIC,
     lambda node: (_require_refs(node, count=2), _only_options(node)),
-    lambda node: 3,
-    lambda node: (0, 1),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: compare(
-        party, _share_in(env, node.args[0], KIND_A),
-        _share_in(env, node.args[1], KIND_A), resh[0], tol),
+    lambda party, node, xs, tol, std, resh: compare(
+        party, xs[0], xs[1], resh[0], tol),
 )
 
 _register(
     "exp", KIND_A,
     _validate_exp,
-    lambda node: 1,
-    lambda node: (0, 1),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: exponentiate(
-        party, _share_in(env, node.args[0], KIND_A),
-        float(_want(node, "base", math.e)), resh[0]),
+    lambda party, node, xs, tol, std, resh: exponentiate(
+        party, xs[0], float(_want(node, "base", math.e)), resh[0]),
 )
 
 _register(
     "log", KIND_A,
     _validate_log,
-    lambda node: 2,
-    lambda node: (0, 1),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: logarithm(
-        party, _share_in(env, node.args[0], KIND_A),
-        float(_want(node, "base", math.e)), resh[0], tol.zero_guard),
+    lambda party, node, xs, tol, std, resh: logarithm(
+        party, xs[0], float(_want(node, "base", math.e)), resh[0],
+        tol.zero_guard),
 )
 
 _register(
     "pow", KIND_A,
     _validate_pow,
-    lambda node: 3,
-    lambda node: (0, len(node.args) + 1),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: power_product(
-        party, [_share_in(env, r, KIND_A) for r in node.args],
-        _pow_exponents(node), resh, tol.zero_guard),
+    lambda party, node, xs, tol, std, resh: power_product(
+        party, xs, _pow_exponents(node), resh, tol.zero_guard),
 )
 
 _register(
     "div", KIND_A,
     lambda node: (_require_refs(node, count=2), _only_options(node)),
-    lambda node: 3,
-    lambda node: (0, 3),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: power_product(
-        party, [_share_in(env, node.args[0], KIND_A),
-                _share_in(env, node.args[1], KIND_A)],
-        [1, -1], resh, tol.zero_guard),
+    lambda party, node, xs, tol, std, resh: power_product(
+        party, xs, [1, -1], resh, tol.zero_guard),
 )
 
 _register(
     "prod", KIND_A,
     _validate_prod,
-    _prod_phases,
-    _prod_demand,
-    _a_kinds,
     _build_prod,
 )
 
 _register(
     "sin", KIND_A,
     _validate_trig,
-    lambda node: 1,
-    lambda node: (0, 2),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: sine(
-        party, _share_in(env, node.args[0], KIND_A), resh),
+    lambda party, node, xs, tol, std, resh: sine(party, xs[0], resh),
 )
 
 _register(
     "cos", KIND_A,
     _validate_trig,
-    lambda node: 1,
-    lambda node: (0, 2),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: cosine(
-        party, _share_in(env, node.args[0], KIND_A), resh),
+    lambda party, node, xs, tol, std, resh: cosine(party, xs[0], resh),
 )
 
 _register(
     "tan", KIND_A,
     _validate_trig,
-    lambda node: 4,
-    lambda node: (0, 7),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: tangent(
-        party, _share_in(env, node.args[0], KIND_A), resh, tol.zero_guard),
+    lambda party, node, xs, tol, std, resh: tangent(
+        party, xs[0], resh, tol.zero_guard),
 )
 
 _register(
     "cot", KIND_A,
     _validate_trig,
-    lambda node: 4,
-    lambda node: (0, 7),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: tangent(
-        party, _share_in(env, node.args[0], KIND_A), resh, tol.zero_guard,
-        flip=True),
+    lambda party, node, xs, tol, std, resh: tangent(
+        party, xs[0], resh, tol.zero_guard, flip=True),
 )
 
 _register(
     "sec", KIND_A,
     _validate_trig,
-    lambda node: 4,
-    lambda node: (0, 4),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: reciprocal_trig(
-        party, _share_in(env, node.args[0], KIND_A), resh, tol.zero_guard,
-        use_sine=False),
+    lambda party, node, xs, tol, std, resh: reciprocal_trig(
+        party, xs[0], resh, tol.zero_guard, use_sine=False),
 )
 
 _register(
     "csc", KIND_A,
     _validate_trig,
-    lambda node: 4,
-    lambda node: (0, 4),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: reciprocal_trig(
-        party, _share_in(env, node.args[0], KIND_A), resh, tol.zero_guard,
-        use_sine=True),
+    lambda party, node, xs, tol, std, resh: reciprocal_trig(
+        party, xs[0], resh, tol.zero_guard, use_sine=True),
 )
 
 _register(
     "asin", KIND_A,
     _validate_asin,
-    lambda node: 3 if _asin_order(node) > 1 else 0,
-    lambda node: (0, 2 * (_asin_order(node) - 1)),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: arcsine_series(
-        party, _share_in(env, node.args[0], KIND_A), _asin_order(node),
-        resh, tol.zero_guard),
+    lambda party, node, xs, tol, std, resh: arcsine_series(
+        party, xs[0], _asin_order(node), resh, tol.zero_guard),
 )
 
 _register(
     "acos", KIND_A,
     _validate_asin,
-    lambda node: 3 if _asin_order(node) > 1 else 0,
-    lambda node: (0, 2 * (_asin_order(node) - 1)),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: arccosine(
-        party, _share_in(env, node.args[0], KIND_A), _asin_order(node),
-        resh, tol.zero_guard),
+    lambda party, node, xs, tol, std, resh: arccosine(
+        party, xs[0], _asin_order(node), resh, tol.zero_guard),
 )
 
 _register(
     "atan", KIND_A,
     _validate_asin,
-    lambda node: 5 + (3 if _asin_order(node) > 1 else 0),
-    lambda node: (2, 2 + 2 * (_asin_order(node) - 1)),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: arctangent(
-        party, _share_in(env, node.args[0], KIND_A), _asin_order(node),
-        std, resh, tol),
+    lambda party, node, xs, tol, std, resh: arctangent(
+        party, xs[0], _asin_order(node), std, resh, tol),
 )
 
 _register(
     "pre", KIND_A,
     _validate_pre,
-    lambda node: 3 if _want(node, "positive_domain", False) else 4,
-    lambda node: (0, 2),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: power_real_exponent(
-        party, _share_in(env, node.args[0], KIND_A),
-        float(_want(node, "alpha")), bool(_want(node, "positive_domain", False)),
-        resh, tol),
+    lambda party, node, xs, tol, std, resh: power_real_exponent(
+        party, xs[0], float(_want(node, "alpha")),
+        bool(_want(node, "positive_domain", False)), resh, tol),
 )
 
 _register(
     "pse", KIND_A,
     lambda node: (_require_refs(node, count=2), _only_options(node)),
-    lambda node: 5,
-    lambda node: (1, 2),
-    _a_kinds,
-    lambda party, node, env, tol, std, resh: power_secret_exponent(
-        party, _share_in(env, node.args[0], KIND_A),
-        _share_in(env, node.args[1], KIND_A), resh[0], std[0], resh[1], tol),
+    lambda party, node, xs, tol, std, resh: power_secret_exponent(
+        party, xs[0], xs[1], resh[0], std[0], resh[1], tol),
 )
+
+
+# --- facts derived from the scripts --------------------------------------------
+
+class _ProbeTriples:
+    """Triples for a dry run: the same probe triple at every index.
+
+    Indices and slices count from the front only, since the real list's
+    length is what the dry run finds out; `used[0]` is one past the
+    highest slot touched through this sequence or any slice of it.
+    """
+
+    __iter__ = None  # indexed only: iterating would never end
+
+    def __init__(self, triple, used=None, offset=0):
+        self.triple, self.offset = triple, offset
+        self.used = [0] if used is None else used
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start = key.start or 0
+            if start < 0 or (key.stop or 0) < 0 or key.step is not None:
+                raise TypeError("probe triples are sliced from the front only")
+            return _ProbeTriples(self.triple, self.used, self.offset + start)
+        if key < 0:
+            raise TypeError("probe triples are indexed from the front only")
+        self.used[0] = max(self.used[0], self.offset + key + 1)
+        return self.triple
+
+
+# Unit inputs and masks, zero c shares and zero replies keep every reshared
+# share at exactly 1.0, so no option value makes a dry run overflow.
+_PROBE_STANDARD = StandardSlice(0, 1.0, 1.0, 0.0)
+_PROBE_RESHARING = ResharingSlice(0, 1.0, 0.0)
+_PROBE_TOL = TolerancePolicy()
+_DERIVED: dict = {}
+
+
+def derive(node) -> tuple[int, int, int]:
+    """(phases, standard, resharing) of a validated node.
+
+    Runs party 1's script once on probe material: the steps it yields are
+    the phases, and the triple slots it indexes are the demand.  Cached
+    for the process by the op's build function, the input count and the
+    options, so only the first plan in a process pays for the dry runs.
+    """
+    spec = OP_SPECS[node.op]
+    key = (spec.build, len(node.args), repr(node.options))
+    facts = _DERIVED.get(key)
+    if facts is None:
+        std = _ProbeTriples(_PROBE_STANDARD)
+        resh = _ProbeTriples(_PROBE_RESHARING)
+        script = spec.build(1, node, [1.0] * len(node.args), _PROBE_TOL,
+                            std, resh)
+        phases, got = 0, None
+        try:
+            while True:
+                step = script.send(got)
+                phases += 1
+                got = [1 if tag is Tag.SIGN else 0.0 for tag in step.expects]
+        except StopIteration:
+            pass
+        facts = _DERIVED[key] = (phases, std.used[0], resh.used[0])
+    return facts

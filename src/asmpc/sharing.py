@@ -26,9 +26,6 @@ class AdditiveSharing:
     def reveal(self) -> float:
         return self.share_p1 + self.share_p2
 
-    def share(self, party: int) -> float:
-        return self.share_p1 if party == 1 else self.share_p2
-
 
 @dataclass(frozen=True)
 class MultiplicativeSharing:
@@ -44,9 +41,6 @@ class MultiplicativeSharing:
     def reveal(self) -> float:
         return self.share_p1 * self.share_p2
 
-    def share(self, party: int) -> float:
-        return self.share_p1 if party == 1 else self.share_p2
-
 
 def share_additive(secret: float, masks: MaskSource) -> AdditiveSharing:
     secret = ensure_finite(secret, "secret")
@@ -60,10 +54,6 @@ def share_multiplicative(secret: float, masks: MaskSource) -> MultiplicativeShar
         raise ZeroSecretUnderMSS("cannot share 0 multiplicatively")
     s1 = masks.multiplicative()
     return MultiplicativeSharing(s1, secret / s1)
-
-
-def reveal(sharing: AdditiveSharing | MultiplicativeSharing) -> float:
-    return sharing.reveal()
 
 
 # --- share files (CLI input staging) --------------------------------------

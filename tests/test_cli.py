@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +168,13 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "steps=1" in proc.stdout
+
+
+def test_demo_script_completes(tmp_path):
+    # The bundled end-to-end demo, with its work directory under tmp_path.
+    demo = Path(__file__).resolve().parents[1] / "scripts" / "run_demo.py"
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=dict(os.environ, TMPDIR=str(tmp_path)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "demo complete" in proc.stdout

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+import asmpc.program
 from asmpc import (
     MaskSource,
     RandomnessPolicy,
@@ -213,11 +214,19 @@ def test_parallel_nodes_share_rounds_end_to_end():
 
 
 # --- desync checks -----------------------------------------------------------
-# Each case swaps one catalog entry, so the plan and the script disagree;
-# plans are made here, not with the cached plan_for.
+# Each case makes the plan and the script disagree, by planning a wrong
+# phase count or by swapping a catalog entry's script; plans are made
+# here, not with the cached plan_for.
 
 def _respec(monkeypatch, op, **changes):
     monkeypatch.setitem(OP_SPECS, op, dataclasses.replace(OP_SPECS[op], **changes))
+    return plan(parse_program(f"f = {op}(x, y)"))
+
+
+def _misplan(monkeypatch, op, phases):
+    derived = asmpc.program.derive
+    monkeypatch.setattr(asmpc.program, "derive",
+                        lambda node: (phases,) + derived(node)[1:])
     return plan(parse_program(f"f = {op}(x, y)"))
 
 
@@ -230,21 +239,21 @@ PHASE_MISMATCHES = [
 
 @pytest.mark.parametrize("op, phases", PHASE_MISMATCHES)
 def test_planned_phase_mismatch_desyncs_lockstep(monkeypatch, op, phases):
-    plan_obj = _respec(monkeypatch, op, phases=lambda node: phases)
+    plan_obj = _misplan(monkeypatch, op, phases)
     with pytest.raises(ProtocolDesync):
         run_local(*_stage(plan_obj=plan_obj))
 
 
 @pytest.mark.parametrize("op, phases", PHASE_MISMATCHES)
 def test_planned_phase_mismatch_desyncs_over_channels(monkeypatch, op, phases):
-    plan_obj = _respec(monkeypatch, op, phases=lambda node: phases)
+    plan_obj = _misplan(monkeypatch, op, phases)
     ch1, ch2 = make_inproc_pair()
     with pytest.raises(ProtocolDesync):
         run_over_channels(*_stage(plan_obj=plan_obj), ch1, ch2)
 
 
 def test_frame_count_mismatch_desyncs_lockstep(monkeypatch):
-    def lopsided(party, node, env, tol, std, resh):
+    def lopsided(party, node, values, tol, std, resh):
         if party == 1:
             yield Step(((Tag.D, 1.0),), ())
         else:

@@ -17,6 +17,9 @@ def test_parse_basics():
     assert program.nodes[0].args == ("x", "y")
     assert program.nodes[1].options == {"exponents": [2]}
     assert program.inputs == ["x", "y"]
+    # First-use order, each input once, whatever the order of later uses.
+    program = parse_program("f = mul(y, x)\ng = mul(x, z)\nh = mul(f, y)")
+    assert program.inputs == ["y", "x", "z"]
 
 
 def test_parse_constants_and_values():
