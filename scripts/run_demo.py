@@ -32,8 +32,7 @@ POLICY_FLAGS = ["--mask.additive_bound", "0.25",
                 "--mask.mult_bound", "2.0", "--mask.mult_floor", "1.0"]
 
 
-def run() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="asmpc-demo-"))
+def run(workdir: Path) -> int:
     print(f"workdir: {workdir}")
 
     program = load_program(PROGRAM)
@@ -90,10 +89,10 @@ def run() -> int:
               f"rel_err {err:.2e}  {flag}")
     if bad:
         return 1
-    print(f"\nmachine-readable rows: {csv}")
     print("demo complete: all cost rows and outputs check out")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    with tempfile.TemporaryDirectory(prefix="asmpc-demo-") as tmp:
+        sys.exit(run(Path(tmp)))

@@ -3,8 +3,6 @@
 Every expectation is computed from the formulas here, never hand-entered
 per run.  `exact` distinguishes equalities from upper bounds (secant and
 cosecant are published as a bound; our composition measures below it).
-`source` tags where a figure comes from: "catalog" for the published
-per-protocol budgets, "derived" for compositions this engine defines.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ class CostExpectation:
     rounds: int
     bits: int
     exact: bool = True
-    source: str = "catalog"
 
     def matches(self, rounds: int, bits: int) -> bool:
         if self.exact:
@@ -65,15 +62,14 @@ def expected_cost(op: str, n: int, options: dict,
         return CostExpectation(4, 12 * l, exact=False)
     if op in ("asin", "acos"):
         if order < 2:
-            return CostExpectation(0, 0, source="derived")
-        return CostExpectation(3, 4 * (order - 1) * l, source="derived")
+            return CostExpectation(0, 0)
+        return CostExpectation(3, 4 * (order - 1) * l)
     if op == "atan":
         extra = 3 if order > 1 else 0
-        return CostExpectation(5 + extra, 12 * l + 4 * (order - 1) * l,
-                               source="derived")
+        return CostExpectation(5 + extra, 12 * l + 4 * (order - 1) * l)
     if op == "pre":
         if positive_domain:
-            return CostExpectation(3, 4 * l, source="derived")
+            return CostExpectation(3, 4 * l)
         return CostExpectation(4, 4 * l + 2)
     if op == "pse":
         return CostExpectation(5, 8 * l + 2)

@@ -1,15 +1,15 @@
 """Two-party execution runtime.
 
 `_party` is everything one party does in a session, written without I/O:
-it exchanges and checks the session hello, schedules the plan's nodes
-through `protocols.parallel` (each node starts at its planned step, and
-independent nodes share steps), checks and logs every frame, and runs
-the reveal exchange.  It yields (frames to send, number of frames to
-receive) and is sent the frames received.  Two drivers pump it: `execute`
-over a channel, one `send` or `recv` per frame, and `run_local`, which
-pumps both parties' cores in lockstep inside one call (tests, bulk
-checks).  `run_over_channels` runs both ends of a channel pair on
-threads.
+the session hello, the plan's nodes scheduled through `protocols.parallel`
+(each node starts at its planned step; independent nodes share steps),
+and the reveal.  It yields one frame per exchange, the hello, one STEP
+frame per step carrying all of that step's messages, then the reveal, and
+is sent the peer's frame in return; it checks and logs every message.
+Two drivers pump it: `execute` over a channel, one `send` and one `recv`
+per frame, and `run_local`, which hands two cores each other's frames in
+lockstep inside one call (tests, bulk checks).  `run_over_channels` runs
+both ends of a channel pair on threads.
 
 All online randomness is pre-staged (input shares and dealer triples),
 so a fixed staging yields bit-identical transcripts on every run.
@@ -28,14 +28,8 @@ from .numeric import TolerancePolicy
 from .program import Plan
 from .protocols import KIND_PUBLIC, OP_SPECS, Step, Value, parallel
 from .sharing import KIND_ADDITIVE, KIND_MULTIPLICATIVE
-from .transport import (
-    Channel,
-    Frame,
-    SCALAR_TAGS,
-    SessionTranscript,
-    Tag,
-    encode_payload,
-)
+from .transport import (Channel, Frame, SessionTranscript, Tag, decode_step,
+                        encode_step)
 
 
 @dataclass
@@ -71,7 +65,7 @@ def _node(pn, party: int, env: dict, tol: TolerancePolicy, std, resh):
     """One plan node as a script for `parallel`.
 
     Builds the op's script on first advance, so it reads its inputs only
-    after its dependencies have settled, tags its frames with the node's
+    after its dependencies have settled, tags its messages with the node's
     output ref, holds it to its planned phases and writes its result
     into `env`.
     """
@@ -100,16 +94,21 @@ def _node(pn, party: int, env: dict, tol: TolerancePolicy, std, resh):
 def _check_hello(mine: dict, frame: Frame, ctx: PartyContext) -> None:
     if frame.tag is not Tag.CONTROL or not frame.payload.startswith(b"hello:"):
         raise ProtocolDesync("expected session hello")
-    theirs = json.loads(frame.payload[len(b"hello:"):].decode("ascii"))
-    if theirs["party"] != 3 - ctx.party:
-        raise ProtocolDesync(f"peer claims party {theirs['party']}")
-    if theirs["digest"] != mine["digest"]:
+    try:
+        theirs = json.loads(frame.payload[len(b"hello:"):].decode("ascii"))
+        party, digest, reveal, cursors = (
+            theirs[key] for key in ("party", "digest", "reveal", "cursors"))
+    except (ValueError, KeyError, TypeError):
+        raise ProtocolDesync("malformed session hello") from None
+    if party != 3 - ctx.party:
+        raise ProtocolDesync(f"peer claims party {party}")
+    if digest != mine["digest"]:
         raise ProtocolDesync("parties plan different programs")
-    if theirs["reveal"] != mine["reveal"]:
+    if reveal != mine["reveal"]:
         raise ProtocolDesync("parties disagree on reveal set")
-    if theirs["cursors"] != mine["cursors"]:
+    if cursors != mine["cursors"]:
         raise ProtocolDesync(
-            f"triple cursors diverge: {mine['cursors']} vs {theirs['cursors']}")
+            f"triple cursors diverge: {mine['cursors']} vs {cursors}")
 
 
 def _raise_if_abort(frame: Frame) -> None:
@@ -120,32 +119,24 @@ def _raise_if_abort(frame: Frame) -> None:
         raise error_by_name(name)(f"peer aborted: {message}")
 
 
-def _accept(frame: Frame, sid: int, step: int, node: str, tag: Tag) -> None:
-    _raise_if_abort(frame)
-    if frame.session_id != sid:
-        raise ProtocolDesync(f"session {frame.session_id} != {sid}")
-    if frame.step != step or frame.tag is not tag:
-        raise ProtocolDesync(
-            f"expected {tag.name}@{step} for {node}, got "
-            f"{frame.tag.name}@{frame.step}")
-
-
 def _exchange(ctx: PartyContext, step: int, merged: Step,
               transcript: SessionTranscript):
-    """Send one step's tagged frames and return the values received for
-    its expected ones, checking and logging every frame."""
+    """Send one step's messages as one frame and return the values of the
+    peer's frame for the expected ones, checking and logging each one."""
     sid, me = ctx.session_id, ctx.party
-    frames = []
     for node, tag, value in merged.sends:
-        payload = encode_payload(tag, value)
-        frames.append(Frame(sid, step, tag, payload))
-        transcript.log(step, me, node, tag, payload)
-    received = yield frames, len(merged.expects)
-    values = []
-    for frame, (node, tag) in zip(received, merged.expects):
-        _accept(frame, sid, step, node, tag)
-        transcript.log(step, 3 - me, node, tag, frame.payload)
-        values.append(frame.scalar() if tag in SCALAR_TAGS else frame.sign())
+        transcript.log(step, me, node, tag, value)
+    payload = encode_step([tag for _, tag, _ in merged.sends],
+                          [value for _, _, value in merged.sends])
+    frame = yield Frame(sid, step, Tag.STEP, payload)
+    _raise_if_abort(frame)
+    if (frame.session_id, frame.step, frame.tag) != (sid, step, Tag.STEP):
+        raise ProtocolDesync(
+            f"expected STEP@{step} of session {sid}, got "
+            f"{frame.tag.name}@{frame.step} of session {frame.session_id}")
+    values = decode_step(frame.payload, [tag for _, tag in merged.expects])
+    for (node, tag), value in zip(merged.expects, values):
+        transcript.log(step, 3 - me, node, tag, value)
     return values
 
 
@@ -181,16 +172,16 @@ def _party(plan: Plan, ctx: PartyContext, inputs: dict, reveal: tuple,
            transcript: SessionTranscript):
     """One party's session: hello, the plan's steps, then the reveal.
 
-    Yields (frames to send, number of frames to receive), is sent the
-    received frames and returns (env, revealed).  An `MpcError` raised
-    between the hello and the reveal, or thrown in there by the driver,
-    leaves with `notify_peer` set: the peer is still waiting on frames.
+    Yields each frame to send, is sent the peer's frame in return and
+    returns (env, revealed).  An `MpcError` raised between the hello and
+    the reveal, or thrown in there by the driver, leaves with
+    `notify_peer` set: the peer is still waiting on a frame.
     """
     reveal = sorted(reveal)
     hello = {"party": ctx.party, "digest": plan.digest().hex(),
              "reveal": reveal, "cursors": list(ctx.store.cursors)}
     payload = b"hello:" + json.dumps(hello, sort_keys=True).encode("ascii")
-    (first,) = yield [Frame(ctx.session_id, 0, Tag.CONTROL, payload)], 1
+    first = yield Frame(ctx.session_id, 0, Tag.CONTROL, payload)
     _raise_if_abort(first)
     _check_hello(hello, first, ctx)
 
@@ -222,7 +213,7 @@ def _party(plan: Plan, ctx: PartyContext, inputs: dict, reveal: tuple,
 
 
 def _resume(core, received):
-    """Advance a core: ((frames, count), None), or (None, its result)."""
+    """Advance a core: (frame to send, None), or (None, its result)."""
     try:
         return core.send(received), None
     except StopIteration as fin:
@@ -248,8 +239,8 @@ def run_local(plan: Plan, inputs_p1: dict, inputs_p2: dict,
               reveal: tuple = ()) -> LocalRun:
     """Drive both parties in lockstep inside one call.
 
-    Each exchange hands one core's frames to the other; the cores do all
-    frame checks and logging, as in a channel session.  The transcript is
+    Each exchange hands one core's frame to the other; the cores do all
+    checks and logging, as in a channel session.  The transcript is
     party 1's.
     """
     tol = tol or TolerancePolicy()
@@ -262,12 +253,7 @@ def run_local(plan: Plan, inputs_p1: dict, inputs_p2: dict,
     while x1 is not None or x2 is not None:
         if x1 is None or x2 is None:
             raise ProtocolDesync("parties disagree on session length")
-        (sent1, want1), (sent2, want2) = x1, x2
-        for want, sent in ((want1, sent2), (want2, sent1)):
-            if want != len(sent):
-                raise ProtocolDesync(
-                    f"expected {want} frames, peer sent {len(sent)}")
-        (x1, done1), (x2, done2) = _resume(core1, sent2), _resume(core2, sent1)
+        (x1, done1), (x2, done2) = _resume(core1, x2), _resume(core2, x1)
     (env1, revealed), (env2, _) = done1, done2
     return LocalRun(env1, env2, transcript, revealed)
 
@@ -291,20 +277,14 @@ def execute(plan: Plan, ctx: PartyContext, inputs: dict, channel: Channel,
     transcript = transcript or SessionTranscript(ctx.session_id)
     core = _party(plan, ctx, inputs, reveal, transcript)
     try:
-        exchange, result = _resume(core, None)
-        while exchange is not None:
-            frames, count = exchange
+        frame, result = _resume(core, None)
+        while frame is not None:
             try:
-                for frame in frames:
-                    channel.send(frame)
-                received = []
-                for _ in range(count):
-                    received.append(channel.recv())
-                    if received[-1].tag is Tag.CONTROL:
-                        break  # the core turns a peer's abort into its error
+                channel.send(frame)
+                received = channel.recv()
             except MpcError as err:
                 core.throw(err)  # re-raised, marked if the peer waits on us
-            exchange, result = _resume(core, received)
+            frame, result = _resume(core, received)
     except MpcError as err:
         if getattr(err, "notify_peer", False):
             abort = f"abort:{type(err).__name__}:{err}".encode("utf-8", "replace")

@@ -41,7 +41,6 @@ class Node:
 class ProtocolProgram:
     nodes: list[Node] = field(default_factory=list)
     inputs: list[str] = field(default_factory=list)  # first-use order
-    source: str = ""
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -92,7 +91,7 @@ def _parse_value(text: str, lineno: int):
 
 
 def parse_program(text: str) -> ProtocolProgram:
-    program = ProtocolProgram(source=text)
+    program = ProtocolProgram()
     produced = set()
     used = {}  # program inputs, in first-use order
     for lineno, raw in enumerate(text.splitlines(), 1):

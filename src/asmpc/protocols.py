@@ -1,12 +1,12 @@
 """Two-party protocol catalog over additive and multiplicative sharings.
 
 Each operation is a per-party script written as a generator that yields
-`Step` objects, one per communication phase.  A step carries the frames
+`Step` objects, one per communication phase.  A step carries the messages
 this party sends in that phase and the tags it expects back; the engine
-transmits a whole step at once, so scripts that run in parallel can merge
+sends a whole step as one frame, so scripts that run in parallel can merge
 their steps into shared rounds.  Within one step a party's outgoing
-frames never depend on frames received in the same step, which is what
-makes a step a single round.
+messages never depend on messages received in the same step, which is
+what makes a step a single round.
 
 All online randomness comes from dealer triples; the scripts themselves
 are deterministic given shares and triples.
@@ -50,7 +50,7 @@ _LOG_FLOOR = -745.1332191019412
 
 @dataclass(frozen=True)
 class Step:
-    """One communication phase: frames out, tags expected back."""
+    """One communication phase: messages out, tags expected back."""
 
     sends: tuple = ()
     expects: tuple = ()
@@ -67,7 +67,7 @@ def parallel(scripts, starts=None):
 
     `starts` gives each script's first phase (1-based; all start at
     phase 1 by default).  Every phase advances the started, unfinished
-    scripts in list order, so merged frames keep that order, and yields
+    scripts in list order, so merged messages keep that order, and yields
     their merged step even when it is empty; finished scripts drop out.
     Returns the results in list order once no script is left.
     """

@@ -1,19 +1,24 @@
 """Two-party message channel with framing plus the cost accountant.
 
-Wire format (tcp): 4-byte big-endian length, 8-byte session id, 2-byte
-step, 1-byte tag, payload.  Scalars travel as little-endian IEEE-754
-binary64; sign messages occupy one wire byte but count as one logical bit.
+Wire format v2 (tcp): 4-byte big-endian length, 8-byte session id, 2-byte
+step, 1-byte tag, payload.  Each party sends a CONTROL hello, one STEP
+frame per step, even an empty one, and, when outputs are revealed, one
+STEP frame of their shares; a CONTROL abort replaces the next frame when
+a party fails.  A STEP payload is the tag byte of each message, then its
+scalars as little-endian IEEE-754 binary64, then one byte per sign
+message; a sign counts as one logical bit.
 
 Accounting counts logical payload bits only (64 per scalar, 1 per sign)
 and excludes framing, session-control frames, and output-share reveals.
-Rounds are dependency layers: all frames that share one step index form a
-single round even when both parties send simultaneously; a message that
+Rounds are dependency layers: all messages that share one step index form
+a single round even when both parties send simultaneously; a message that
 depends on a previously received message must carry a later step index.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import queue
 import socket
 import struct
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import PeerGone, ProtocolDesync, TransportUnavailable
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_PORT = 7420
 SCALAR_BITS = 64
 SIGN_BITS = 1
@@ -39,6 +44,7 @@ class Tag(enum.IntEnum):
     SIGN = 3     # comparison sign message
     SHARE = 4    # output share during reveal
     CONTROL = 5  # session setup / abort, excluded from accounting
+    STEP = 6     # all of one step's messages, on the wire only
 
 
 SCALAR_TAGS = (Tag.D, Tag.E, Tag.SHARE)
@@ -52,22 +58,6 @@ class Frame:
     tag: Tag
     payload: bytes
 
-    def scalar(self) -> float:
-        if self.tag not in SCALAR_TAGS:
-            raise ProtocolDesync(f"frame tag {self.tag.name} carries no scalar")
-        value = _SCALAR.unpack(self.payload)[0]
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ProtocolDesync("non-finite scalar on the wire")
-        return value
-
-    def sign(self) -> int:
-        if self.tag is not Tag.SIGN:
-            raise ProtocolDesync(f"frame tag {self.tag.name} carries no sign")
-        state = self.payload[0]
-        if state not in (0, 1, 2):
-            raise ProtocolDesync(f"bad sign payload {state}")
-        return state
-
 
 def encode_payload(tag: Tag, value) -> bytes:
     if tag in SCALAR_TAGS:
@@ -75,6 +65,37 @@ def encode_payload(tag: Tag, value) -> bytes:
     if tag is Tag.SIGN:
         return bytes([int(value)])
     return bytes(value)
+
+
+def encode_step(tags, values) -> bytes:
+    """One step's messages as a STEP frame payload."""
+    head = bytes(tags)
+    if Tag.SIGN not in head:
+        return head + struct.pack(f"<{len(head)}d", *values)
+    scalars = [v for tag, v in zip(head, values) if tag != Tag.SIGN]
+    signs = [v for tag, v in zip(head, values) if tag == Tag.SIGN]
+    return head + struct.pack(f"<{len(scalars)}d", *scalars) + bytes(signs)
+
+
+def decode_step(payload: bytes, expected_tags) -> list:
+    """The values of a STEP frame payload, which must carry exactly the
+    expected tags, finite scalars and valid sign states."""
+    head = bytes(expected_tags)
+    n, signs = len(head), head.count(Tag.SIGN)
+    end = n + _SCALAR.size * (n - signs)
+    if len(payload) != end + signs or not payload.startswith(head):
+        raise ProtocolDesync(
+            f"step frame does not carry the {n} messages expected "
+            f"({len(payload)} bytes, tags {list(payload[:n])})")
+    scalars = struct.unpack_from(f"<{n - signs}d", payload, n)
+    if not all(map(math.isfinite, scalars)):
+        raise ProtocolDesync("non-finite scalar on the wire")
+    if not signs:
+        return list(scalars)
+    if max(payload[end:]) > 2:
+        raise ProtocolDesync(f"bad sign payload {list(payload[end:])}")
+    scalars, states = iter(scalars), iter(payload[end:])
+    return [next(states) if tag == Tag.SIGN else next(scalars) for tag in head]
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -144,6 +165,9 @@ def make_inproc_pair() -> tuple[InProcChannel, InProcChannel]:
 
 class TcpChannel(Channel):
     def __init__(self, sock: socket.socket):
+        # Each step is one small frame each way; Nagle plus delayed ACKs
+        # would stall a round for up to 40 ms.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
 
     def send(self, frame: Frame) -> None:
@@ -274,7 +298,7 @@ def tcp_listen_ephemeral(host: str, session_id: int,
 
 # --- accountant -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TranscriptEntry:
     step: int
     sender: int
@@ -293,10 +317,10 @@ class TranscriptEntry:
 
 @dataclass
 class SessionTranscript:
-    """Ordered log of one session's frames with round and bit counters.
+    """Ordered log of one session's messages with round and bit counters.
 
-    Both parties log the same global frame set (own sends plus received
-    frames, which arrive in the peer's send order), so canonical
+    Both parties log the same global message set (own sends plus received
+    messages, which arrive in the peer's send order), so canonical
     serializations agree byte for byte across parties and transports.
     """
 
@@ -327,7 +351,7 @@ class SessionTranscript:
 
     def node_costs(self) -> dict[str, tuple[int, int]]:
         """Per-node (rounds, bits); a node's rounds are the distinct steps
-        its own frames occupy."""
+        its own messages occupy."""
         per_node: dict[str, tuple[set, int]] = {}
         for e in self._accounted():
             steps, bits = per_node.setdefault(e.node, (set(), 0))

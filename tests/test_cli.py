@@ -178,3 +178,4 @@ def test_demo_script_completes(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "demo complete" in proc.stdout
+    assert not list(tmp_path.glob("asmpc-demo-*"))

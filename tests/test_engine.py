@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +25,9 @@ from asmpc.errors import (
     ProtocolDesync,
     TripleExhausted,
 )
-from asmpc.program import parse_program, plan
+from asmpc.program import load_program, parse_program, plan
 from asmpc.protocols import OP_SPECS, Step, Value
-from asmpc.transport import Tag, tcp_connect, tcp_listen_ephemeral
+from asmpc.transport import Channel, Frame, Tag, tcp_connect, tcp_listen_ephemeral
 
 from helpers import BALANCED, catalog_run, crafted_resharing_store, plan_for, split_records
 
@@ -187,13 +188,49 @@ def test_abort_reaches_the_peer_over_channels():
 
 
 def test_peer_abort_arrives_before_the_rest_of_a_step():
-    # Party 1 waits on two frames in step 1; party 2 fails before sending
-    # them, so its abort frame comes first and then the channel closes.
+    # Party 1 waits on party 2's step-1 frame; party 2 fails before
+    # sending it, so its abort frame comes in its place and then the
+    # channel closes.
     plan_obj, in1, in2, st1, st2 = _stage()
     del in2["x"]
     ch1, ch2 = make_inproc_pair()
     with pytest.raises(PlanError):
         run_over_channels(plan_obj, in1, in2, st1, st2, ch1, ch2)
+
+
+@pytest.mark.parametrize("hello", [b"hello:{", b"hello:{}", b"hello:[]"])
+def test_malformed_hello_desyncs(hello):
+    plan_obj, in1, _, st1, _ = _stage()
+    ch1, peer = make_inproc_pair()
+    peer.send(Frame(1, 0, Tag.CONTROL, hello))
+    with pytest.raises(ProtocolDesync):
+        execute(plan_obj, PartyContext(1, st1), in1, ch1)
+
+
+class CountingChannel(Channel):
+    def __init__(self, inner):
+        self.inner, self.sent = inner, 0
+
+    def send(self, frame):
+        self.sent += 1
+        self.inner.send(frame)
+
+    def recv(self):
+        return self.inner.recv()
+
+    def close(self):
+        self.inner.close()
+
+
+def test_each_party_sends_one_frame_per_step():
+    demo = Path(__file__).resolve().parents[1] / "programs" / "demo.prog"
+    plan_obj = plan(load_program(demo))
+    ch1, ch2 = (CountingChannel(ch) for ch in make_inproc_pair())
+    out1, _ = run_over_channels(*_stage(plan_obj=plan_obj), ch1, ch2,
+                                reveal=("q", "t", "h", "z", "f"))
+    assert out1.transcript.rounds == plan_obj.steps
+    # The hello, one frame per step and the reveal frame.
+    assert ch1.sent == ch2.sent == 1 + plan_obj.steps + 1
 
 
 def test_inputs_from_records():
