@@ -98,7 +98,7 @@ def _check_hello(mine: dict, frame: Frame, ctx: PartyContext) -> None:
         theirs = json.loads(frame.payload[len(b"hello:"):].decode("ascii"))
         party, digest, reveal, cursors = (
             theirs[key] for key in ("party", "digest", "reveal", "cursors"))
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):
         raise ProtocolDesync("malformed session hello") from None
     if party != 3 - ctx.party:
         raise ProtocolDesync(f"peer claims party {party}")

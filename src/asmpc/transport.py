@@ -18,6 +18,7 @@ depends on a previously received message must carry a later step index.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import queue
 import socket
@@ -67,35 +68,40 @@ def encode_payload(tag: Tag, value) -> bytes:
     return bytes(value)
 
 
+@functools.lru_cache(maxsize=256)
+def _step_layout(head: bytes):
+    """A STEP payload's struct for these tags, the order values are packed
+    in (scalars, then signs), each value's place when unpacked, and the end
+    of the scalars there."""
+    order = sorted(range(len(head)), key=lambda i: head[i] == Tag.SIGN)
+    end = 1 + len(head) - head.count(Tag.SIGN)
+    back = [1 + j for j in sorted(range(len(head)), key=order.__getitem__)]
+    return (struct.Struct(f"<{len(head)}s{end - 1}d{len(head) + 1 - end}B"),
+            order, back, end)
+
+
 def encode_step(tags, values) -> bytes:
     """One step's messages as a STEP frame payload."""
     head = bytes(tags)
-    if Tag.SIGN not in head:
-        return head + struct.pack(f"<{len(head)}d", *values)
-    scalars = [v for tag, v in zip(head, values) if tag != Tag.SIGN]
-    signs = [v for tag, v in zip(head, values) if tag == Tag.SIGN]
-    return head + struct.pack(f"<{len(scalars)}d", *scalars) + bytes(signs)
+    layout, order, _, _ = _step_layout(head)
+    return layout.pack(head, *[values[i] for i in order])
 
 
 def decode_step(payload: bytes, expected_tags) -> list:
     """The values of a STEP frame payload, which must carry exactly the
     expected tags, finite scalars and valid sign states."""
     head = bytes(expected_tags)
-    n, signs = len(head), head.count(Tag.SIGN)
-    end = n + _SCALAR.size * (n - signs)
-    if len(payload) != end + signs or not payload.startswith(head):
+    layout, _, back, end = _step_layout(head)
+    values = layout.unpack(payload) if len(payload) == layout.size else ()
+    if not values or values[0] != head:
         raise ProtocolDesync(
-            f"step frame does not carry the {n} messages expected "
-            f"({len(payload)} bytes, tags {list(payload[:n])})")
-    scalars = struct.unpack_from(f"<{n - signs}d", payload, n)
-    if not all(map(math.isfinite, scalars)):
+            f"step frame does not carry the {len(head)} messages expected "
+            f"({len(payload)} bytes, tags {list(payload[:len(head)])})")
+    if not all(map(math.isfinite, values[1:end])):
         raise ProtocolDesync("non-finite scalar on the wire")
-    if not signs:
-        return list(scalars)
-    if max(payload[end:]) > 2:
-        raise ProtocolDesync(f"bad sign payload {list(payload[end:])}")
-    scalars, states = iter(scalars), iter(payload[end:])
-    return [next(states) if tag == Tag.SIGN else next(scalars) for tag in head]
+    if max(values[end:], default=0) > 2:
+        raise ProtocolDesync(f"bad sign payload {list(values[end:])}")
+    return [values[i] for i in back]
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -202,23 +208,32 @@ class TcpChannel(Channel):
         self._sock.close()
 
 
-def _handshake(sock: socket.socket, session_id: int, version: int) -> None:
-    sock.sendall(_HANDSHAKE.pack(_MAGIC, version, session_id))
-    data = b""
-    while len(data) < _HANDSHAKE.size:
-        chunk = sock.recv(_HANDSHAKE.size - len(data))
-        if not chunk:
-            raise TransportUnavailable("peer closed during handshake")
-        data += chunk
-    magic, peer_version, peer_session = _HANDSHAKE.unpack(data)
-    if magic != _MAGIC:
-        raise TransportUnavailable("peer is not speaking this protocol")
-    if peer_version != version:
-        raise TransportUnavailable(
-            f"protocol version mismatch: ours {version}, peer {peer_version}")
-    if peer_session != session_id:
-        raise TransportUnavailable(
-            f"session mismatch: ours {session_id}, peer {peer_session}")
+def _open(sock: socket.socket, session_id: int, version: int,
+          timeout: float) -> TcpChannel:
+    """The channel over a connected socket once the version handshake
+    passes; the socket is closed when it fails."""
+    sock.settimeout(timeout)
+    try:
+        sock.sendall(_HANDSHAKE.pack(_MAGIC, version, session_id))
+        data = b""
+        while len(data) < _HANDSHAKE.size:
+            chunk = sock.recv(_HANDSHAKE.size - len(data))
+            if not chunk:
+                raise TransportUnavailable("peer closed during handshake")
+            data += chunk
+        magic, peer_version, peer_session = _HANDSHAKE.unpack(data)
+        if magic != _MAGIC:
+            raise TransportUnavailable("peer is not speaking this protocol")
+        if peer_version != version:
+            raise TransportUnavailable(
+                f"protocol version mismatch: ours {version}, peer {peer_version}")
+        if peer_session != session_id:
+            raise TransportUnavailable(
+                f"session mismatch: ours {session_id}, peer {peer_session}")
+    except TransportUnavailable:
+        sock.close()
+        raise
+    return TcpChannel(sock)
 
 
 def tcp_listen(host: str, port: int, session_id: int,
@@ -236,13 +251,7 @@ def tcp_listen(host: str, port: int, session_id: int,
         raise TransportUnavailable(f"cannot listen on {host}:{port}: {exc}")
     finally:
         server.close()
-    conn.settimeout(timeout)
-    try:
-        _handshake(conn, session_id, version)
-    except TransportUnavailable:
-        conn.close()
-        raise
-    return TcpChannel(conn)
+    return _open(conn, session_id, version, timeout)
 
 
 def tcp_connect(host: str, port: int, session_id: int,
@@ -259,12 +268,7 @@ def tcp_connect(host: str, port: int, session_id: int,
             last_error = exc
             time.sleep(0.05)
             continue
-        try:
-            _handshake(sock, session_id, version)
-        except TransportUnavailable:
-            sock.close()
-            raise
-        return TcpChannel(sock)
+        return _open(sock, session_id, version, timeout)
     raise TransportUnavailable(f"cannot reach {host}:{port}: {last_error}")
 
 
@@ -285,13 +289,7 @@ def tcp_listen_ephemeral(host: str, session_id: int,
             raise TransportUnavailable("no peer connected")
         finally:
             server.close()
-        conn.settimeout(timeout)
-        try:
-            _handshake(conn, session_id, version)
-        except TransportUnavailable:
-            conn.close()
-            raise
-        return TcpChannel(conn)
+        return _open(conn, session_id, version, timeout)
 
     return port, accept
 
@@ -329,10 +327,10 @@ class SessionTranscript:
     _seq: dict[int, int] = field(default_factory=lambda: {1: 0, 2: 0})
 
     def log(self, step: int, sender: int, node: str, tag: Tag, payload) -> None:
-        data = payload if isinstance(payload, bytes) else encode_payload(tag, payload)
         seq = self._seq[sender]
         self._seq[sender] = seq + 1
-        self.entries.append(TranscriptEntry(step, sender, seq, node, tag, data))
+        self.entries.append(TranscriptEntry(step, sender, seq, node, tag,
+                                            encode_payload(tag, payload)))
 
     def _accounted(self):
         return [e for e in self.entries if e.tag in ACCOUNTED_TAGS]

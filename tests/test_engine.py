@@ -198,7 +198,9 @@ def test_peer_abort_arrives_before_the_rest_of_a_step():
         run_over_channels(plan_obj, in1, in2, st1, st2, ch1, ch2)
 
 
-@pytest.mark.parametrize("hello", [b"hello:{", b"hello:{}", b"hello:[]"])
+@pytest.mark.parametrize("hello", [
+    b"hello:{", b"hello:{}", b"hello:[]",
+    pytest.param(b"hello:" + b"[" * 100_000, id="deeply-nested")])
 def test_malformed_hello_desyncs(hello):
     plan_obj, in1, _, st1, _ = _stage()
     ch1, peer = make_inproc_pair()
